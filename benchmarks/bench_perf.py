@@ -16,15 +16,8 @@ performance knobs introduced by the fast path work:
   telemetry :class:`repro.obs.Collector` attached (span/metric overhead)
 * ``seq_file_storage``  — sequential engine on the out-of-core file plane
   (track files in a private tempdir); measures the pread/pwrite + pickle
-  cost of true external storage against the in-heap reference
-* ``seq_file_overlap``  — the file plane with ``io_overlap=True`` (DESIGN
-  §12): write-behind flusher + readahead hide platter time behind
-  computation; same counted costs, reported next to the synchronous file
-  plane's wall clock as ``ratio_file_overlap`` / ``ratio_file_sync``
-  (x the in-heap reference)
-* ``seq_file_fast_overlap`` — the overlapped file plane with the fast
-  knobs on; ``ratio_file_overlap_fast`` (x ``seq_fast``) is the
-  acceptance ratio for the storage-plane gap
+  cost of true external storage against the in-heap reference, reported
+  as ``ratio_file_sync`` (x the in-heap reference)
 
 For every workload the harness *asserts* that each engine's fast and
 observed configurations report exactly the same parallel I/O operation
@@ -59,6 +52,7 @@ import os
 import platform
 import sys
 import time
+import zlib
 from typing import Any
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -111,21 +105,6 @@ CONFIGS = [
         {"context_cache": True, "fast_io": True, "observe": True},
     ),
     ("seq_file_storage", "sequential", {"storage": "file"}),
-    (
-        "seq_file_overlap",
-        "sequential",
-        {"storage": "file", "io_overlap": True},
-    ),
-    (
-        "seq_file_fast_overlap",
-        "sequential",
-        {
-            "storage": "file",
-            "io_overlap": True,
-            "context_cache": True,
-            "fast_io": True,
-        },
-    ),
 ]
 
 
@@ -194,7 +173,7 @@ def _run_config(name: str, engine: str, kwargs: dict, make, v: int) -> dict[str,
         "records_io": led.total_records_io,
         "supersteps": len(report.supersteps),
         "lemma2_max_load_ratio": round(max(ratios), 4) if ratios else None,
-        "outputs_digest": hash(repr(outputs)) & 0xFFFFFFFF,
+        "outputs_digest": zlib.crc32(repr(outputs).encode()),
     }
     if observer is not None:
         r["telemetry_spans"] = len(observer.spans)
@@ -244,10 +223,6 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
             # Storage-plane invariant (DESIGN §8): moving the tracks out of
             # heap must not move a single counted cost.
             ("seq_file_storage", "seq_reference"),
-            # Overlap invariant (DESIGN §12): hiding platter time behind
-            # computation must not move a single counted cost either.
-            ("seq_file_overlap", "seq_reference"),
-            ("seq_file_fast_overlap", "seq_reference"),
         ]:
             for kct in COUNTED:
                 if configs[fast][kct] != configs[ref][kct]:
@@ -291,24 +266,10 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
                 - 1.0,
                 4,
             ),
-            # Out-of-core overhead vs the in-heap reference: the overlapped
-            # plane's headline is closing the gap the synchronous file
-            # plane pays (target <= 2x, stretch 1.5x).
+            # Out-of-core overhead vs the in-heap reference (target <= 2x).
             "ratio_file_sync": round(
                 configs["seq_file_storage"]["wall_s"]
                 / configs["seq_reference"]["wall_s"],
-                3,
-            ),
-            "ratio_file_overlap": round(
-                configs["seq_file_overlap"]["wall_s"]
-                / configs["seq_reference"]["wall_s"],
-                3,
-            ),
-            # The acceptance ratio: both planes with their fast knobs on,
-            # out-of-core overlapped vs in-heap.
-            "ratio_file_overlap_fast": round(
-                configs["seq_file_fast_overlap"]["wall_s"]
-                / configs["seq_fast"]["wall_s"],
                 3,
             ),
         }
@@ -322,11 +283,7 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
             f"  observer overhead: seq={entry['observer_overhead_seq']:+.1%}  "
             f"par={entry['observer_overhead_par']:+.1%}"
         )
-        print(
-            f"  file plane vs memory: sync={entry['ratio_file_sync']}x  "
-            f"overlap={entry['ratio_file_overlap']}x  "
-            f"overlap_fast={entry['ratio_file_overlap_fast']}x"
-        )
+        print(f"  file plane vs memory: sync={entry['ratio_file_sync']}x")
         # Soft signal only: wall-clock noise on shared CI runners dwarfs the
         # span layer's cost (sub-0.2s runs are all jitter), so this never
         # fails the run and only warns when the baseline is measurable.
@@ -387,7 +344,7 @@ def _headline_entry(quick: bool, violations: list[str]) -> dict[str, Any]:
             "comm_packets": led.total_comm_packets,
             "comp_ops": led.total_comp,
             "records_io": led.total_records_io,
-            "outputs_digest": hash(repr(outputs)) & 0xFFFFFFFF,
+            "outputs_digest": zlib.crc32(repr(outputs).encode()),
         }
     for kct in COUNTED:
         if configs["seq_fast_vector"][kct] != configs["seq_reference"][kct]:

@@ -67,7 +67,7 @@ from ..emio.diskarray import DiskArray
 from ..emio.faults import FATAL_IO_FAULTS, CrashPlan, FaultPlan, HostCrash, RetryPolicy
 from ..emio.layout import RegionAllocator, StripedRegion
 from ..emio.linked import LinkedBuckets
-from ..emio.storage import StorageSpec, default_overlap_budget, resolve_storage
+from ..emio.storage import StorageSpec, resolve_storage
 from ..obs.live import RunEventLog
 from ..obs.spans import NULL_OBSERVER, Collector, NullObserver
 from ..params import ParameterError, SimulationParams
@@ -559,7 +559,6 @@ class ParallelEMSimulation:
         events: "RunEventLog | None" = None,
         storage: "str | StorageSpec" = "memory",
         storage_dir: str | None = None,
-        io_overlap: bool = False,
         crash: CrashPlan | None = None,
     ):
         self.algorithm = algorithm
@@ -578,16 +577,6 @@ class ParallelEMSimulation:
         # The engine claims the root directory; each worker derives (and
         # claims) its proc{i} sub-root from the pickled spec.
         self.storage_spec = resolve_storage(storage, storage_dir)
-        if io_overlap and self.storage_spec.kind != "memory":
-            # Per-worker flusher pools: each proc{i} sub-spec inherits the
-            # overlap fields through for_proc, so every worker gets its own
-            # bounded pool sized against its share of the memory budget.
-            self.storage_spec = self.storage_spec.with_overlap(
-                default_overlap_budget(
-                    params.machine.M, params.machine.D, Block.BYTES_PER_RECORD
-                )
-            )
-        self.io_overlap = self.storage_spec.io_overlap
         if crash is not None:
             if self.storage_spec.kind == "memory" or not checkpoint:
                 raise ParameterError(

@@ -48,7 +48,7 @@ from ..emio.diskarray import DiskArray
 from ..emio.faults import FATAL_IO_FAULTS, CrashPlan, FaultPlan, HostCrash, RetryPolicy
 from ..emio.layout import RegionAllocator, StripedRegion
 from ..emio.linked import LinkedBuckets
-from ..emio.storage import StorageSpec, default_overlap_budget, resolve_storage
+from ..emio.storage import StorageSpec, resolve_storage
 from ..obs.live import RunEventLog
 from ..obs.spans import NULL_OBSERVER, Collector
 from ..params import ParameterError, SimulationParams
@@ -172,7 +172,6 @@ class SequentialEMSimulation:
         events: "RunEventLog | None" = None,
         storage: "str | StorageSpec" = "memory",
         storage_dir: str | None = None,
-        io_overlap: bool = False,
         crash: CrashPlan | None = None,
     ):
         if params.machine.p != 1:
@@ -192,14 +191,6 @@ class SequentialEMSimulation:
         self.obs = observer if observer is not None else NULL_OBSERVER
         self.events = events
         self.storage_spec = resolve_storage(storage, storage_dir)
-        if io_overlap and self.storage_spec.kind != "memory":
-            # Readahead/write-behind buffers are charged against the declared
-            # memory budget: M/4 records' worth of bytes across the D drives.
-            m = params.machine
-            self.storage_spec = self.storage_spec.with_overlap(
-                default_overlap_budget(m.M, m.D, Block.BYTES_PER_RECORD)
-            )
-        self.io_overlap = self.storage_spec.io_overlap
         if crash is not None:
             if self.storage_spec.kind == "memory" or not checkpoint:
                 raise ParameterError(

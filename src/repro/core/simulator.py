@@ -63,7 +63,6 @@ def simulate(
     events: RunEventLog | None = None,
     storage: str = "memory",
     storage_dir: str | None = None,
-    io_overlap: bool = False,
     crash: CrashPlan | None = None,
     records: str | None = None,
     **engine_kwargs,
@@ -136,16 +135,6 @@ def simulate(
         finishes; an explicit path persists after the run (useful for
         checkpoint/resume across processes) and must be empty or carry the
         storage marker file from a previous run.
-    io_overlap:
-        Overlap host I/O with computation on non-memory planes: writes are
-        queued to a bounded per-drive background flusher (write-behind with
-        read-after-write overlay), sequential-track access patterns trigger
-        readahead, and near-adjacent slot reads coalesce into single
-        syscalls.  Superstep fsyncs, journal commits, snapshots, and crash
-        injection all quiesce the queue first, so counted costs, outputs,
-        ledgers, checkpoint bytes, and crash semantics are byte-identical
-        to the synchronous plane (DESIGN §12).  Buffer memory is bounded by
-        ``M/4`` record-bytes across the drives.  Ignored on ``"memory"``.
     crash:
         Optional :class:`~repro.emio.faults.CrashPlan` crashing the run at
         one crash point around a checkpoint barrier (torn write, lost
@@ -190,7 +179,6 @@ def simulate(
         events=events,
         storage=storage,
         storage_dir=storage_dir,
-        io_overlap=io_overlap,
         crash=crash,
         **engine_kwargs,
     )

@@ -91,7 +91,6 @@ def _build_engine(
     storage_dir: str,
     crash: CrashPlan | None,
     max_recoveries: int = 8,
-    io_overlap: bool = False,
 ):
     """One engine over a fresh algorithm instance, storage plane attached."""
     alg = algorithm_factory()
@@ -102,7 +101,6 @@ def _build_engine(
         max_recoveries=max_recoveries,
         storage=storage,
         storage_dir=storage_dir,
-        io_overlap=io_overlap,
         crash=crash,
     )
     if machine.p > 1 or backend != "inline":
@@ -122,7 +120,6 @@ def explore(
     keep_rate: float = 0.5,
     backend: str = "inline",
     storage: str = "file",
-    io_overlap: bool = False,
     observer: Any = None,
     log: Callable[[str], None] | None = None,
 ) -> CrashCheckResult:
@@ -141,7 +138,7 @@ def explore(
 
     golden_out, golden_rep = _build_engine(
         algorithm_factory, machine, v, k, seed, backend, storage,
-        golden_dir, crash=None, io_overlap=io_overlap,
+        golden_dir, crash=None,
     ).run()
     checkpoints = golden_rep.faults.checkpoints_taken
     golden_summary = golden_rep.ledger.summary()
@@ -163,7 +160,7 @@ def explore(
         outcome = _explore_point(
             algorithm_factory, machine, v, k, seed, backend, storage,
             point_dir, plan, point, stage, golden_out, golden_summary,
-            observer, result, io_overlap,
+            observer, result,
         )
         result.outcomes.append(outcome)
         verdict = "ok  " if outcome.ok else "FAIL"
@@ -188,13 +185,12 @@ def _explore_point(
     golden_summary,
     observer,
     result,
-    io_overlap=False,
 ) -> CrashPointOutcome:
     """Crash at one point, scrub, recover, and compare against golden."""
     try:
         _build_engine(
             algorithm_factory, machine, v, k, seed, backend, storage,
-            point_dir, crash=plan, io_overlap=io_overlap,
+            point_dir, crash=plan,
         ).run()
     except HostCrash:
         pass
@@ -221,7 +217,7 @@ def _explore_point(
 
     engine = _build_engine(
         algorithm_factory, machine, v, k, seed, backend, storage,
-        point_dir, crash=None, max_recoveries=0, io_overlap=io_overlap,
+        point_dir, crash=None, max_recoveries=0,
     )
     try:
         if res.checkpoint is not None:
