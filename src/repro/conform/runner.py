@@ -27,9 +27,7 @@ from typing import Any, Callable
 
 from ..bsp.runner import run_reference
 from ..core.checkpoint import SimulationAborted
-from ..core.parsim import ParallelEMSimulation
-from ..core.seqsim import SequentialEMSimulation
-from ..core.simulator import build_params
+from ..core.simulator import make_engine
 from ..emio.faults import FATAL_IO_FAULTS, FaultPlan
 from .case import ReproCase
 from .config import ConformConfig
@@ -104,10 +102,15 @@ def _build_engine(
     crash=None,
 ):
     """One engine instance for ``config`` (fresh algorithm, fresh params)."""
-    alg = config.algorithm()
-    params = build_params(alg, config.machine(), config.v, k=config.k)
-    kwargs = dict(
+    parallel = config.engine == "parallel"
+    return make_engine(
+        config.algorithm(),
+        config.machine(),
+        config.v,
+        k=config.k,
         seed=config.sim_seed,
+        engine="parallel" if parallel else "sequential",
+        backend=config.backend if parallel else "inline",
         faults=faults,
         retry=config.retry_policy() if faults is not None else None,
         checkpoint=config.checkpoint,
@@ -118,9 +121,6 @@ def _build_engine(
         storage_dir=storage_dir,
         crash=crash,
     )
-    if config.engine == "parallel":
-        return ParallelEMSimulation(alg, params, backend=config.backend, **kwargs)
-    return SequentialEMSimulation(alg, params, **kwargs)
 
 
 def run_case(config: ConformConfig) -> CaseResult:

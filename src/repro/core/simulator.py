@@ -1,8 +1,9 @@
 """Front door for running BSP*/CGM algorithms as EM algorithms.
 
-:func:`simulate` assembles :class:`SimulationParams` from an algorithm's own
-resource declarations, chooses the sequential (Algorithm 1) or parallel
-(Algorithm 3) engine from the machine's ``p``, and runs it.  This is the
+:func:`make_engine` assembles :class:`SimulationParams` from an algorithm's
+own resource declarations and builds the sequential (Algorithm 1) or
+parallel (Algorithm 3) engine chosen from the machine's ``p``;
+:func:`simulate` builds it and runs it.  This is the
 "automatically generated EM algorithm" of the paper's conclusion: the caller
 supplies a parallel algorithm and a machine description; blocking, parallel
 disks, and multiple processors are handled by the simulation.
@@ -21,7 +22,7 @@ from .parsim import ParallelEMSimulation
 from .seqsim import SequentialEMSimulation
 from .stats import SimulationReport
 
-__all__ = ["simulate", "build_params"]
+__all__ = ["simulate", "make_engine", "build_params"]
 
 
 def build_params(
@@ -44,7 +45,7 @@ def build_params(
     )
 
 
-def simulate(
+def make_engine(
     algorithm: BSPAlgorithm,
     machine: MachineParams,
     v: int,
@@ -66,8 +67,10 @@ def simulate(
     crash: CrashPlan | None = None,
     records: str | None = None,
     **engine_kwargs,
-) -> tuple[list[Any], SimulationReport]:
-    """Run ``algorithm`` with ``v`` virtual processors on ``machine``.
+) -> SequentialEMSimulation | ParallelEMSimulation:
+    """Build the engine that runs ``algorithm`` with ``v`` virtual
+    processors on ``machine`` (not yet run; call ``.run()`` or
+    ``.resume_from_checkpoint(ckpt)``).
 
     Parameters
     ----------
@@ -153,13 +156,7 @@ def simulate(
         does not support the requested mode raises ``AlgorithmError``.
     engine_kwargs:
         Passed through to the engine (e.g. ``pad_to_gamma=True`` for the
-        sequential engine, ``round_robin_writes=True`` for ablations).
-
-    Returns
-    -------
-    (outputs, report):
-        ``outputs[i]`` is virtual processor ``i``'s output; ``report`` holds
-        counted model costs and per-phase I/O breakdowns.
+        sequential engine, ``write_schedule="rotate"`` for ablations).
     """
     if records is not None:
         algorithm.set_record_mode(records)
@@ -197,9 +194,25 @@ def simulate(
                 f"pass engine='parallel' (it accepts p=1) or backend='inline' "
                 "(the sequential engine has a single real processor)"
             )
-        sim = SequentialEMSimulation(algorithm, params, **kwargs)
-    elif engine == "parallel":
-        sim = ParallelEMSimulation(algorithm, params, backend=backend, **kwargs)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return sim.run()
+        return SequentialEMSimulation(algorithm, params, **kwargs)
+    if engine == "parallel":
+        return ParallelEMSimulation(algorithm, params, backend=backend, **kwargs)
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def simulate(
+    algorithm: BSPAlgorithm, machine: MachineParams, v: int, **options: Any
+) -> tuple[list[Any], SimulationReport]:
+    """Run ``algorithm`` with ``v`` virtual processors on ``machine``.
+
+    ``options`` are :func:`make_engine`'s keyword parameters (engine choice,
+    seed, faults and checkpointing, storage and record planes, telemetry);
+    this is ``make_engine(algorithm, machine, v, **options).run()``.
+
+    Returns
+    -------
+    (outputs, report):
+        ``outputs[i]`` is virtual processor ``i``'s output; ``report`` holds
+        counted model costs and per-phase I/O breakdowns.
+    """
+    return make_engine(algorithm, machine, v, **options).run()

@@ -35,9 +35,7 @@ from typing import Any, Callable
 
 from .bsp.program import BSPAlgorithm
 from .core.checkpoint import scrub
-from .core.parsim import ParallelEMSimulation
-from .core.seqsim import SequentialEMSimulation
-from .core.simulator import build_params
+from .core.simulator import make_engine
 from .emio.faults import CRASH_STAGES, CrashPlan, HostCrash
 from .params import MachineParams
 
@@ -92,20 +90,24 @@ def _build_engine(
     crash: CrashPlan | None,
     max_recoveries: int = 8,
 ):
-    """One engine over a fresh algorithm instance, storage plane attached."""
-    alg = algorithm_factory()
-    params = build_params(alg, machine, v, k=k)
-    kwargs = dict(
+    """One engine over a fresh algorithm instance, storage plane attached.
+
+    A process backend always selects the parallel engine (even at ``p=1``).
+    """
+    return make_engine(
+        algorithm_factory(),
+        machine,
+        v,
+        k=k,
         seed=seed,
+        engine="parallel" if backend != "inline" else "auto",
+        backend=backend,
         checkpoint=True,
         max_recoveries=max_recoveries,
         storage=storage,
         storage_dir=storage_dir,
         crash=crash,
     )
-    if machine.p > 1 or backend != "inline":
-        return ParallelEMSimulation(alg, params, backend=backend, **kwargs)
-    return SequentialEMSimulation(alg, params, **kwargs)
 
 
 def explore(

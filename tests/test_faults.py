@@ -18,9 +18,10 @@ import pytest
 
 from repro.algorithms import CGMPermutation, CGMSampleSort
 from repro.core.checkpoint import SimulationAborted, SuperstepCheckpoint
+from repro.core.engine import ProcessorState
 from repro.core.parsim import ParallelEMSimulation
 from repro.core.seqsim import SequentialEMSimulation
-from repro.core.simulator import build_params, simulate
+from repro.core.simulator import build_params, make_engine, simulate
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
 from repro.emio.faults import (
@@ -47,6 +48,18 @@ def sort_input(n=512, seed=7):
 
     rnd = random.Random(seed)
     return [rnd.randrange(10**6) for _ in range(n)]
+
+
+#: Both engines of the shared lifecycle: Algorithm 1, and Algorithm 3 at p=2.
+ENGINES = ["sequential", "parallel"]
+
+
+def sort_engine(engine, **kwargs):
+    """An un-run engine sorting ``sort_input()`` with v=8, seed=3."""
+    machine = SEQ if engine == "sequential" else PAR
+    return make_engine(
+        CGMSampleSort(sort_input(), v=8), machine, v=8, seed=3, **kwargs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +316,80 @@ class TestEngineFaultTransparency:
         assert out == baseline
         assert rep.faults.recoveries >= 1
 
-    def test_fatal_without_checkpoint_aborts(self):
-        data = sort_input()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fatal_without_checkpoint_aborts(self, engine):
         plan = FaultPlan(seed=SEED, dead_disk=0, dead_after=10)
         with pytest.raises(SimulationAborted, match="no checkpoint"):
-            simulate(CGMSampleSort(list(data), v=8), SEQ, v=8, seed=3,
-                     faults=plan)
+            sort_engine(engine, faults=plan).run()
 
-    def test_recovery_budget_respected(self):
-        data = sort_input()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_recovery_budget_respected(self, engine):
         plan = FaultPlan(seed=SEED, dead_disk=0, dead_after=80)
-        params = build_params(CGMSampleSort(list(data), v=8), SEQ, v=8)
-        eng = SequentialEMSimulation(
-            CGMSampleSort(list(data), v=8), params, seed=3,
-            faults=plan, checkpoint=True, max_recoveries=0,
-        )
+        eng = sort_engine(engine, faults=plan, checkpoint=True, max_recoveries=0)
         with pytest.raises(SimulationAborted, match="max_recoveries"):
             eng.run()
+
+
+class TestLifecycleRecoveryScope:
+    """Output collection sits inside the recovery scope, and recovery I/O
+    counts only the restore's own parallel I/O."""
+
+    @pytest.mark.parametrize("checkpoint", [True, False])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_drive_death_during_output_collection(
+        self, engine, checkpoint, monkeypatch
+    ):
+        proc = 0 if engine == "sequential" else 1
+        # Disk 1's access counts around output collection on a healthy run:
+        # a death inside that window hits the collection itself.
+        window = []
+        collect = ProcessorState.collect_outputs
+
+        def spy(pr):
+            if pr.index == proc:
+                window.append(pr.array.disks[1].accesses)
+            result = collect(pr)
+            if pr.index == proc:
+                window.append(pr.array.disks[1].accesses)
+            return result
+
+        monkeypatch.setattr(ProcessorState, "collect_outputs", spy)
+        baseline, _ = sort_engine(engine, checkpoint=checkpoint).run()
+        monkeypatch.undo()
+        start, end = window
+        assert end > start
+        plan = FaultPlan(
+            seed=SEED, dead_disk=1, dead_after=(start + end) // 2, dead_proc=proc
+        )
+        doomed = sort_engine(engine, faults=plan, checkpoint=checkpoint)
+        if not checkpoint:
+            with pytest.raises(SimulationAborted, match="no checkpoint"):
+                doomed.run()
+            return
+        out, rep = doomed.run()
+        assert out == baseline
+        assert rep.faults.disks_died == 1
+        assert rep.faults.recoveries >= 1
+
+    @pytest.mark.parametrize("dead_after", [30, 50, 70])
+    def test_parallel_recovery_io_is_the_restores_own(self, dead_after, monkeypatch):
+        deltas = []
+        restore = ProcessorState.restore_checkpoint
+
+        def spy(pr, *args):
+            ops0 = pr.array.parallel_ops
+            result = restore(pr, *args)
+            deltas.append(pr.array.parallel_ops - ops0)
+            return result
+
+        monkeypatch.setattr(ProcessorState, "restore_checkpoint", spy)
+        plan = FaultPlan(seed=SEED, dead_disk=1, dead_after=dead_after, dead_proc=1)
+        _, rep = sort_engine("parallel", faults=plan, checkpoint=True).run()
+        assert rep.faults.recoveries >= 1
+        # One restore round per recovery, charged as the max over processors.
+        rounds = [deltas[i:i + 2] for i in range(0, len(deltas), 2)]
+        assert len(rounds) == rep.faults.recoveries
+        assert rep.faults.recovery_io_ops == sum(max(r) for r in rounds) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +468,16 @@ class TestCheckpointResume:
         assert out == baseline
         assert rep.faults.resumed_from_step == ckpt.step
 
-    def test_checkpoint_proc_count_validated(self):
-        data = sort_input()
-        params = build_params(CGMSampleSort(list(data), v=8), SEQ, v=8)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_checkpoint_proc_count_validated(self, engine):
         bogus = SuperstepCheckpoint(
-            step=1, rng_state=None, proc_states=[b"", b""],
-            proc_incoming=[None, None], report_blob=b"",
+            step=1, rng_state=None, proc_states=[b""] * 3,
+            proc_incoming=[None] * 3, report_blob=b"",
         )
         from repro.params import ParameterError
 
         with pytest.raises(ParameterError, match="processors"):
-            SequentialEMSimulation(
-                CGMSampleSort(list(data), v=8), params, seed=3
-            ).resume_from_checkpoint(bogus)
+            sort_engine(engine).resume_from_checkpoint(bogus)
 
     def test_checkpoint_size_reporting(self):
         _, _, _, _, ckpt = self._kill_and_resume_seq()
