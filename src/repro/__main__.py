@@ -438,22 +438,6 @@ def cmd_perf_report(args) -> int:
     return _PERF_WORKLOADS[args.workload](args)
 
 
-def cmd_perf_trend(args) -> int:
-    """Compare the latest bench entry against its trajectory."""
-    from .obs.trend import compare_trend, load_history
-
-    history = load_history(args.history)
-    verdict = compare_trend(
-        history, window=args.window, threshold=args.threshold
-    )
-    print(verdict.render())
-    if verdict.status == "counted_drift":
-        return 1  # hard: counted costs must never drift
-    if verdict.status == "regressed":
-        return 1 if args.strict else 0  # soft unless --strict
-    return 0
-
-
 def cmd_watch(args) -> int:
     """Tail a ``--events`` JSONL file, one human line per event."""
     from .obs import tail_events
@@ -629,7 +613,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "perf",
-        help="wall-clock attribution reports and bench-trajectory trends",
+        help="wall-clock attribution reports",
     )
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
 
@@ -647,25 +631,6 @@ def main(argv=None) -> int:
                    help="print a saved --profile-out report instead of running")
     p.set_defaults(func=cmd_perf_report, compare_baselines=False,
                    compare_pram=False, rows=None)
-
-    p = perf_sub.add_parser(
-        "trend",
-        help="compare the latest BENCH_HISTORY.jsonl entry against its "
-             "same-host trajectory (soft wall-clock verdict, hard counted "
-             "drift)",
-    )
-    p.add_argument("--history", metavar="FILE",
-                   default="benchmarks/BENCH_HISTORY.jsonl",
-                   help="history file written by benchmarks/bench_perf.py")
-    p.add_argument("--window", type=int, default=8,
-                   help="prior same-host entries in the trajectory median")
-    p.add_argument("--threshold", type=float, default=1.5,
-                   help="wall-clock ratio above the median that regresses")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on a soft wall-clock regression too "
-                        "(counted drift always fails)")
-    p.set_defaults(func=cmd_perf_trend, trace_out=None, jsonl_out=None,
-                   metrics=False)
 
     p = sub.add_parser(
         "watch",

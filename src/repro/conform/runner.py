@@ -77,11 +77,13 @@ def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
     )
     if reference != config:
         planes.append(("reference", reference))
-    fastpath = config.with_(fast_io=True, context_cache=True)
+    # The context cache is a memory-plane knob (the engines refuse it on
+    # the block-storage planes).
+    fastpath = config.with_(fast_io=True, context_cache=config.storage == "memory")
     if fastpath not in (config, reference):
         planes.append(("fastpath", fastpath))
     if config.storage == "memory":
-        filed = config.with_(storage="file")
+        filed = config.with_(storage="file", context_cache=False)
         if filed not in (p for _, p in planes):
             planes.append(("file-storage", filed))
     # The other record mode is a differential plane: counted costs, ledgers,

@@ -240,6 +240,10 @@ def repair(raw: dict[str, Any] | ConformConfig) -> ConformConfig:
         if d["storage"] == "memory":
             d["storage"] = "file"
         d["fault"] = "none"
+    # The context cache would hold every context in host RAM on a
+    # block-storage plane; the engines refuse that combination.
+    if d["storage"] != "memory":
+        d["context_cache"] = False
 
     cfg = ConformConfig.from_dict(d)
     cfg.params()  # admissibility proof; raises ParameterError on a repair bug

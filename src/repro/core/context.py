@@ -20,8 +20,10 @@ exact greedy round packing arithmetic — without re-materializing ``Block``
 objects; loads unpickle straight from the cached bytes.  On a traced array
 the physical path runs unchanged (traces stay byte-identical), and the cache
 is refused entirely on a fault-injecting array, where the disk image is
-authoritative (corruption must be observable).  The model-cost ledger is
-byte-identical either way; only host wall-clock changes.
+authoritative (corruption must be observable).  The engines refuse the cache
+on non-memory storage planes: it would hold all ``v`` contexts in host RAM,
+not Theorem 1's ``k``.  The model-cost ledger is byte-identical either way;
+only host wall-clock changes.
 """
 
 from __future__ import annotations
@@ -107,30 +109,6 @@ class ContextStore:
     def invalidate_cache(self) -> None:
         """Drop all cached context bytes (next loads hit the disk image)."""
         self._cached = [None] * self.nslots
-
-    def prime_cache(self, states: Sequence[Any]) -> None:
-        """Re-seed the cache from checkpointed states (attach-time recovery).
-
-        On the fast data plane, cached saves are charge-only: the bytes live
-        in ``_cached`` and the disk image of this region holds nothing.  A
-        fresh process that re-attaches the storage plane therefore cannot
-        read contexts back from disk — the checkpoint's portable
-        ``proc_states`` are the only copy, and they must be re-pickled into
-        the cache before the first load.  Pure host-side bookkeeping: no
-        counted I/O, and the recomputed block counts equal the attach
-        reference's ``ctx_used`` (same pickle protocol as ``save_group``).
-        """
-        if not self.cache:
-            return
-        if len(states) != self.nslots:
-            raise DiskError(
-                f"priming {len(states)} contexts into {self.nslots} slots"
-            )
-        chunk = self.B * 8
-        for slot, state in enumerate(states):
-            data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-            self._cached[slot] = data
-            self._used[slot] = -(-max(len(data), 1) // chunk)
 
     def _slot_addrs(self, slots: Sequence[int], counts: Sequence[int]):
         """(disk, track) addresses of the used prefixes of ``slots``.

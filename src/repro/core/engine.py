@@ -261,9 +261,7 @@ class ProcessorState:
             sp.add(io_ops=delta)
         return delta
 
-    def attach_storage(
-        self, ref: dict, rng_state: Any, step: int, state_blob: bytes | None = None
-    ) -> int:
+    def attach_storage(self, ref: dict, rng_state: Any, step: int) -> int:
         """Re-attach the checkpoint's on-disk track files (no rehydration).
 
         The drives already point at the same files; installing the
@@ -279,12 +277,6 @@ class ProcessorState:
             self.allocator.next_track = next_track
             self.allocator._free = sorted(tuple(run) for run in free)
             self.contexts._used = list(ref["ctx_used"])
-            self.contexts.invalidate_cache()
-            # Cache-mode saves are charge-only on the fast plane, so the
-            # attached disk image has no context bytes — reseed the cache
-            # from the checkpoint's portable states (no counted I/O).
-            if state_blob is not None and self.contexts.cache:
-                self.contexts.prime_cache(thaw(state_blob))
             if ref["incoming"] is not None:
                 slot_sizes, base, name = ref["incoming"]
                 self.incoming = StripedRegion.adopt(
@@ -368,6 +360,7 @@ class EngineLifecycle:
         storage: str | StorageSpec,
         storage_dir: str | None,
         crash: CrashPlan | None,
+        context_cache: bool,
     ):
         self.algorithm = algorithm
         self.params = params
@@ -377,6 +370,16 @@ class EngineLifecycle:
         self.obs = observer if observer is not None else NULL_OBSERVER
         self.events = events
         self.storage_spec = resolve_storage(storage, storage_dir)
+        if context_cache and self.storage_spec.kind != "memory":
+            # The cache keeps every context's bytes in host RAM (and with
+            # fast_io nothing reaches the disk), so the run would hold all v
+            # contexts in memory instead of Theorem 1's k = M/mu.
+            self.storage_spec.cleanup()
+            raise ParameterError(
+                "context_cache=True requires storage='memory': on the "
+                f"{self.storage_spec.kind!r} plane the cache would hold every "
+                "context in host RAM"
+            )
         if crash is not None:
             if self.storage_spec.kind == "memory" or not checkpoint:
                 raise ParameterError(
@@ -643,16 +646,14 @@ class EngineLifecycle:
             rngs = ckpt.rng_state
             if not isinstance(rngs, list):  # the sequential engine's format
                 rngs = [rngs] * p
-            states = ckpt.proc_states
             if attach:
                 refs = ckpt.storage_refs
                 self.backend.call_all(
-                    "attach_storage",
-                    [(refs[i], rngs[i], step, states[i]) for i in range(p)],
+                    "attach_storage", [(refs[i], rngs[i], step) for i in range(p)]
                 )
                 delta = 0
             else:
-                incoming = ckpt.proc_incoming
+                states, incoming = ckpt.proc_states, ckpt.proc_incoming
                 delta = max(
                     self.backend.call_all(
                         "restore_checkpoint",

@@ -124,15 +124,22 @@ class _RealProcessor(ProcessorState):
         self.write_schedule = write_schedule
         self.obs.profile.start()
 
-    # -- placement (local views of the engine's maps) --------------------------
+    # -- placement ----------------------------------------------------------------
 
     def owner_of_vp(self, vp: int) -> int:
+        """Real processor simulating virtual processor ``vp``."""
         return vp // self.vpp
 
     def batch_of_vp(self, vp: int) -> int:
+        """Round in which ``vp`` is simulated (its *batch* index)."""
         return (vp % self.vpp) // self.k
 
     def bucket_of_vp(self, vp: int) -> int:
+        """Local disk bucket of a block destined for ``vp``.
+
+        "Each bucket contains the blocks for ``(v/pk)/D`` batches": batches
+        are ranged evenly into the ``D`` buckets.
+        """
         return self.batch_of_vp(vp) * self.params.machine.D // self.nbatches
 
     # -- phase protocol (driven by the engine through a backend) ----------------
@@ -303,7 +310,8 @@ class ParallelEMSimulation(EngineLifecycle):
         worker.  Outputs, ledgers, and reports are identical — see
         :mod:`repro.core.backend`.
     context_cache:
-        Context-swap fast path (see :class:`~repro.core.context.ContextStore`).
+        Context-swap fast path (see :class:`~repro.core.context.ContextStore`);
+        memory plane only, as on the sequential engine.
     fast_io:
         Counted-cost-identical short-circuits in each processor's disk array
         (see :class:`~repro.emio.diskarray.DiskArray`).
@@ -343,13 +351,10 @@ class ParallelEMSimulation(EngineLifecycle):
         # claims) its proc{i} sub-root from the pickled spec.
         super().__init__(
             algorithm, params, faults, checkpoint, max_recoveries, observer,
-            events, storage, storage_dir, crash,
+            events, storage, storage_dir, crash, context_cache,
         )
-        m, s = params.machine, params.bsp
-        self.p = m.p
-        self.k = params.k
-        self.vpp = s.v // m.p  # virtual processors per real processor
-        self.nbatches = self.vpp // self.k  # rounds per compound superstep
+        self.p = params.machine.p
+        self.nbatches = params.groups_per_processor  # rounds per superstep
 
         init_args = [
             (
@@ -382,24 +387,6 @@ class ParallelEMSimulation(EngineLifecycle):
             for pr in self.procs:
                 pr.obs.share_profile(self.obs.profile)
                 pr.array.set_profiler(self.obs.profile)
-
-    # -- placement maps -----------------------------------------------------------
-
-    def owner_of_vp(self, vp: int) -> int:
-        """Real processor simulating virtual processor ``vp``."""
-        return vp // self.vpp
-
-    def batch_of_vp(self, vp: int) -> int:
-        """Round in which ``vp`` is simulated (its *batch* index)."""
-        return (vp % self.vpp) // self.k
-
-    def bucket_of_vp(self, vp: int) -> int:
-        """Local disk bucket of a block destined for ``vp``.
-
-        "Each bucket contains the blocks for ``(v/pk)/D`` batches": batches
-        are ranged evenly into the ``D`` buckets.
-        """
-        return self.batch_of_vp(vp) * self.params.machine.D // self.nbatches
 
     # -- one compound superstep --------------------------------------------------------
 

@@ -103,6 +103,8 @@ class SequentialEMSimulation(EngineLifecycle):
         dirty bit; swaps charge the identical counted I/O without moving
         block data (see :class:`~repro.core.context.ContextStore`).  Model
         costs and outputs are unchanged; only host wall-clock improves.
+        Memory plane only: a non-memory ``storage`` raises
+        :class:`~repro.params.ParameterError`.
     fast_io:
         Enable the disk array's fast data plane — counted-cost-identical
         short-circuits of the parallel primitives, legal only on a healthy,
@@ -172,7 +174,7 @@ class SequentialEMSimulation(EngineLifecycle):
             )
         super().__init__(
             algorithm, params, faults, checkpoint, max_recoveries, observer,
-            events, storage, storage_dir, crash,
+            events, storage, storage_dir, crash, context_cache,
         )
         self.pad_to_gamma = pad_to_gamma
         self.write_schedule = write_schedule

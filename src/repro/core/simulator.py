@@ -102,7 +102,8 @@ def make_engine(
         Context-swap fast path: keep pickled context bytes host-side with a
         dirty bit and charge the identical parallel I/O without
         re-materializing blocks (see :class:`~repro.core.context.ContextStore`).
-        Auto-disabled under fault injection.  Model costs are unchanged.
+        Auto-disabled under fault injection; refused on a non-memory
+        ``storage`` plane.  Model costs are unchanged.
     fast_io:
         Short-circuit the disk arrays' data plane when no faults, traces, or
         dead disks are active (see :class:`~repro.emio.diskarray.DiskArray`).

@@ -37,6 +37,7 @@ from repro.conform.oracles import (
 from repro.conform.runner import _build_engine, equivalent_planes
 from repro.conform.shrinker import shrink_candidates
 from repro.conform.strategies import QUICK
+from repro.params import ParameterError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -408,45 +409,23 @@ class TestConformCLI:
 
 
 class TestFixedRegressions:
-    """Shrunk ReproCases of bugs the fuzzer found, replayed on every run."""
+    """Bugs the fuzzer found, pinned on every run."""
 
-    def crash_resume_eof_case(self, engine, backend):
-        """PR 8 fix: crash_resume EOFError on cached-context file crashes.
+    @pytest.mark.parametrize("engine,p", [("sequential", 1), ("parallel", 2)])
+    def test_context_cache_refused_off_the_memory_plane(self, engine, p):
+        """The fuzzer's crash_resume EOFError came from an inadmissible plane.
 
-        With ``context_cache=True`` on the fast data plane, context saves
-        are charge-only — the pickled bytes live in the host-side cache and
-        the context region of the disk image stays empty.  The attach-based
-        resume path restored ``ctx_used`` but invalidated the cache, so the
-        first ``load_group`` after a crash read zero bytes off disk and
-        died in ``pickle.loads(b"")`` (EOFError: Ran out of input).  Fixed
-        by re-priming the cache from the checkpoint's portable
-        ``proc_states`` at attach time (zero counted I/O).
+        With ``context_cache=True`` and ``fast_io`` on the file plane every
+        context lived only in the host-side cache (all ``v`` of them, not
+        Theorem 1's ``k``), so a crash-resume that re-attached the track
+        files found no context bytes on disk.  The engines now refuse the
+        combination at construction, and ``repair`` folds it away.
         """
-        return ReproCase(
-            config=ConformConfig(
-                p=2 if engine == "parallel" else 1,
-                D=2, B=8, b=16, M=4096, v=4,
-                workload="listrank", n=48,
-                engine=engine, backend=backend,
-                checkpoint=True, fast_io=True, context_cache=True,
-                storage="file", crash=True, crash_point=4, crash_seed=3,
-            ),
-            oracle="crash_resume",
-            message="recovery raised EOFError('Ran out of input')",
+        cfg = ConformConfig(
+            p=p, D=2, B=8, b=16, M=4096, v=4, workload="listrank", n=48,
+            engine=engine, checkpoint=True, fast_io=True, context_cache=True,
+            storage="file",
         )
-
-    @pytest.mark.parametrize(
-        "engine,backend",
-        [("parallel", "inline"), ("parallel", "process"), ("sequential", "inline")],
-    )
-    def test_crash_resume_survives_cached_context_attach(self, engine, backend):
-        case = self.crash_resume_eof_case(engine, backend)
-        result = run_case(case.config)
-        assert not result.failures, [
-            (f.oracle, f.message) for f in result.failures
-        ]
-        assert result.checks["crash_resume"] >= 1
-
-    def test_crash_resume_eof_case_round_trips(self):
-        case = self.crash_resume_eof_case("parallel", "inline")
-        assert ReproCase.from_json(case.to_json()) == case
+        with pytest.raises(ParameterError, match="context_cache.*storage"):
+            _build_engine(cfg, faults=None)
+        assert not repair(cfg).context_cache

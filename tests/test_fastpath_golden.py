@@ -12,6 +12,7 @@ mid-run kill-and-resume.
 import pytest
 
 from repro.algorithms.graphs.listranking import CGMListRanking
+from repro.algorithms.permutation import CGMPermutation
 from repro.algorithms.sorting import CGMSampleSort
 from repro.core.checkpoint import SimulationAborted
 from repro.core.parsim import ParallelEMSimulation
@@ -20,7 +21,7 @@ from repro.core.simulator import build_params
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.emio.trace import IOTrace
 from repro.params import MachineParams
-from repro.workloads import random_linked_list, uniform_keys
+from repro.workloads import random_linked_list, random_permutation, uniform_keys
 
 FAST = {"context_cache": True, "fast_io": True}
 
@@ -33,8 +34,14 @@ def make_listrank(n=192, v=8):
     return CGMListRanking(random_linked_list(n, seed=5), v=v), v
 
 
-def build(make, engine, seed=0, p=4, **kwargs):
+def make_permute(n=512, v=8):
+    values, perm = uniform_keys(n, seed=5), random_permutation(n, seed=5)
+    return CGMPermutation(values, perm, v=v), v
+
+
+def build(make, engine, seed=0, p=4, records="object", **kwargs):
     alg, v = make()
+    alg.set_record_mode(records)
     machine = MachineParams(p=1 if engine == "sequential" else p, M=1 << 18, D=4, B=16, b=32)
     params = build_params(alg, machine, v=v)
     cls = SequentialEMSimulation if engine == "sequential" else ParallelEMSimulation
@@ -58,7 +65,7 @@ def golden(sim):
 
 
 class TestSequentialGolden:
-    @pytest.mark.parametrize("make", [make_sort, make_listrank])
+    @pytest.mark.parametrize("make", [make_sort, make_listrank, make_permute])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_fast_equals_reference(self, make, seed):
         ref = golden(build(make, "sequential", seed=seed))
@@ -96,16 +103,17 @@ class TestSequentialGolden:
 
 
 class TestParallelGolden:
-    @pytest.mark.parametrize("make", [make_sort, make_listrank])
+    @pytest.mark.parametrize("make", [make_sort, make_listrank, make_permute])
     def test_fast_inline_equals_reference(self, make):
         ref = golden(build(make, "parallel"))
         fast = golden(build(make, "parallel", **FAST))
         assert fast == ref
 
     def test_fast_process_equals_reference(self):
-        ref = golden(build(make_sort, "parallel"))
-        fast = golden(build(make_sort, "parallel", backend="process", **FAST))
-        assert fast == ref
+        for make in (make_sort, make_listrank, make_permute):
+            ref = golden(build(make, "parallel"))
+            fast = golden(build(make, "parallel", backend="process", **FAST))
+            assert fast == ref, make.__name__
 
     def test_context_cache_alone_over_process_backend(self):
         """context_cache without fast_io, with workers in real subprocesses:
@@ -128,6 +136,20 @@ class TestParallelGolden:
             assert [
                 (op.kind, op.disks, op.tracks, op.retry) for op in t_fast.ops
             ] == [(op.kind, op.disks, op.tracks, op.retry) for op in t_ref.ops]
+
+
+class TestVectorFastPath:
+    @pytest.mark.parametrize("make", [make_sort, make_listrank, make_permute])
+    @pytest.mark.parametrize(
+        "engine,backend", [("sequential", "inline"), ("parallel", "process")]
+    )
+    def test_fast_vector_equals_object_reference(self, make, engine, backend):
+        """The whole fast stack (vector records, fast_io, context cache,
+        process workers) counts exactly like the plain object-plane run."""
+        kw = {"backend": backend} if engine == "parallel" else {}
+        ref = golden(build(make, engine))
+        fast = golden(build(make, engine, records="vector", **kw, **FAST))
+        assert fast == ref
 
 
 class TestFaultInteraction:

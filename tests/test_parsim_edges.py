@@ -67,17 +67,18 @@ class TestBatchGeometry:
         machine = MachineParams(p=2, M=4 * alg.context_size(), D=4, B=16, b=16)
         params = build_params(alg, machine, v=16, k=2)
         sim = ParallelEMSimulation(alg, params)
+        pr = sim.procs[0]  # every processor holds the same global maps
         # vp layout: processor = vp // 8, batch = (vp % 8) // 2.
-        assert [sim.owner_of_vp(vp) for vp in (0, 7, 8, 15)] == [0, 0, 1, 1]
-        assert [sim.batch_of_vp(vp) for vp in (0, 1, 2, 7, 9, 14)] == [
+        assert [pr.owner_of_vp(vp) for vp in (0, 7, 8, 15)] == [0, 0, 1, 1]
+        assert [pr.batch_of_vp(vp) for vp in (0, 1, 2, 7, 9, 14)] == [
             0, 0, 1, 3, 0, 3,
         ]
         # Buckets partition the 4 batches over 4 disks evenly.
-        buckets = {sim.bucket_of_vp(vp) for vp in range(16)}
+        buckets = {pr.bucket_of_vp(vp) for vp in range(16)}
         assert buckets == {0, 1, 2, 3}
         # Contiguity requirement of SimulateRouting: bucket is monotone
         # non-decreasing in the batch index.
-        seq = [sim.bucket_of_vp(b * sim.k) for b in range(sim.nbatches)]
+        seq = [pr.bucket_of_vp(b * pr.k) for b in range(pr.nbatches)]
         assert seq == sorted(seq)
 
     def test_init_and_output_io_accounted(self):

@@ -15,13 +15,19 @@ from repro.core.checkpoint import SimulationAborted
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.emio.trace import IOTrace
 
-from .test_fastpath_golden import FAST, build, golden, make_listrank, make_sort
+from .test_fastpath_golden import (
+    build,
+    golden,
+    make_listrank,
+    make_permute,
+    make_sort,
+)
 
 PLANES = ("file", "mmap")
 
 
 class TestSequentialPlanes:
-    @pytest.mark.parametrize("make", [make_sort, make_listrank])
+    @pytest.mark.parametrize("make", [make_sort, make_listrank, make_permute])
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_equals_memory(self, make, plane):
         ref = golden(build(make, "sequential"))
@@ -30,8 +36,9 @@ class TestSequentialPlanes:
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_with_fast_knobs(self, plane):
+        # fast_io only: the context cache is a memory-plane knob.
         ref = golden(build(make_sort, "sequential"))
-        got = golden(build(make_sort, "sequential", storage=plane, **FAST))
+        got = golden(build(make_sort, "sequential", storage=plane, fast_io=True))
         assert got == ref
 
     @pytest.mark.parametrize("plane", PLANES)
@@ -75,7 +82,8 @@ class TestParallelPlanes:
     def test_plane_process_fast_knobs_together(self):
         ref = golden(build(make_sort, "parallel"))
         got = golden(
-            build(make_sort, "parallel", backend="process", storage="file", **FAST)
+            build(make_sort, "parallel", backend="process", storage="file",
+                  fast_io=True)
         )
         assert got == ref
 

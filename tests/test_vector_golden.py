@@ -44,8 +44,7 @@ N, V = 4096, 8
 #: engine x backend x storage x fast-path corners of the golden matrix.
 MATRIX = [
     dict(engine="sequential", backend="inline", storage="memory"),
-    dict(engine="sequential", backend="inline", storage="file",
-         fast_io=True, context_cache=True),
+    dict(engine="sequential", backend="inline", storage="file", fast_io=True),
     dict(engine="parallel", backend="inline", storage="memory"),
     dict(engine="parallel", backend="inline", storage="file", fast_io=True),
     dict(engine="parallel", backend="process", storage="memory"),
