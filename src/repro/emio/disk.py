@@ -91,6 +91,11 @@ class Block:
         # every write (hot in write_batched).
         self._vB = B
 
+    def __getstate__(self) -> dict:
+        # ``_``-prefixed attributes are per-process memos, not block data:
+        # they never enter a pickle (storage images, IPC, checkpoints).
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
 
 class Disk:
     """A simulated disk drive with ``ntracks`` tracks of one block each.

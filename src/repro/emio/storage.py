@@ -8,10 +8,14 @@ live is therefore a free choice — this module makes it a pluggable plane:
 * :class:`MemoryStorage` — the historical behaviour: a dict of live
   ``Block`` objects.  Fast, identity-preserving, heap-bound.
 * :class:`FileStorage` — one preallocated file per drive.  Tracks map to
-  runs of fixed-size *slots*; each stored image is a length-prefixed pickle
-  written with ``os.pwrite`` / read with ``os.pread``.  Slot runs freed by
-  ``discard_track`` are reused (best-fit).  This is the true out-of-core
-  plane: datasets are bounded by the filesystem, not the heap.
+  runs of fixed-size *slots*; each stored image is a CRC-sealed frame
+  around a block image, written with ``os.pwrite`` / read with
+  ``os.pread``.  Fixed-width payloads (ndarray records, pickled-context
+  bytes) are binary images — a packed header, the dtype descr, the raw
+  bytes — and a full ``B``-record one fills exactly one slot; object-mode
+  lists are pickles.  Slot runs freed by ``discard_track`` are reused
+  (best-fit).  This is the true out-of-core plane: datasets are bounded by
+  the filesystem, not the heap.
 * :class:`MmapStorage` — the same on-disk format accessed through ``mmap``,
   for read-heavy phases where page-cache mapping beats syscalls.
 
@@ -55,17 +59,18 @@ import tempfile
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Protocol
+from typing import Iterator, Protocol
+
+import numpy as np
 
 from ..obs.profile import NULL_PROFILER
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; avoids a circular import
-    from .disk import Block
-    from .faults import CrashPlan
+from .disk import Block, DiskError
+from .faults import ChecksumError, CrashPlan, CrashyStorage
 
 __all__ = [
     "STORAGE_KINDS",
     "STORAGE_MARKER",
+    "STORAGE_VERSION",
     "FRAME_BYTES",
     "BlockStorage",
     "MemoryStorage",
@@ -84,6 +89,11 @@ STORAGE_KINDS = ("memory", "file", "mmap")
 #: one *with* it is reused, which is what crash-resume needs.
 STORAGE_MARKER = ".em-storage.json"
 
+#: Track-file format version recorded in the marker.  Version 2 is the
+#: binary block image in right-sized slots; a root written in any other
+#: format is refused at claim time rather than misread at restore time.
+STORAGE_VERSION = 2
+
 # Per-slot frame: magic | write generation | payload length, then a CRC32
 # sealing header + payload.  The generation tag distinguishes two
 # internally-valid frames written to the same slot in different checkpoint
@@ -95,29 +105,33 @@ FRAME_MAGIC = 0x454D5331  # "EMS1"
 FRAME_BYTES = _FRAME.size + _CRC.size
 
 
-def _seal_frame(payload: bytes, gen: int) -> bytes:
-    """Frame ``payload`` for storage: sealed header + payload."""
-    prefix = _FRAME.pack(FRAME_MAGIC, gen & 0xFFFFFFFF, len(payload))
-    crc = zlib.crc32(payload, zlib.crc32(prefix))
-    return prefix + _CRC.pack(crc) + payload
+def _seal_frame(head: bytes, body, nbytes: int, gen: int) -> bytes:
+    """Frame a ``head`` + ``body`` payload of ``nbytes`` bytes for storage.
+
+    The CRC runs over the parts in place, so the payload is copied exactly
+    once: into the returned frame.
+    """
+    prefix = _FRAME.pack(FRAME_MAGIC, gen & 0xFFFFFFFF, nbytes)
+    crc = zlib.crc32(body, zlib.crc32(head, zlib.crc32(prefix)))
+    return b"".join((prefix, _CRC.pack(crc), head, body))
 
 
-def _open_frame(raw: bytes, path: str, base: int, length: int, gen: int) -> bytes:
+def _open_frame(raw: bytes, path: str, base: int, length: int, gen: int) -> memoryview:
     """Validate one framed slot image against the map's expectations.
 
-    Returns the payload, or raises :class:`~repro.emio.faults.ChecksumError`
-    (a retriable :class:`~repro.emio.disk.DiskError`) if the frame is short,
-    the magic or CRC32 is wrong, or the stored generation/length disagree
-    with what the track map recorded at write time.
+    Returns the payload as a zero-copy view of ``raw``, or raises
+    :class:`~repro.emio.faults.ChecksumError` (a retriable
+    :class:`~repro.emio.disk.DiskError`) if the frame is short, the magic or
+    CRC32 is wrong, or the stored generation/length disagree with what the
+    track map recorded at write time.
     """
-    from .faults import ChecksumError
-
     expect_gen = gen & 0xFFFFFFFF
     if len(raw) >= FRAME_BYTES + length:
+        view = memoryview(raw)
         magic, stored_gen, stored_len = _FRAME.unpack_from(raw)
         (stored_crc,) = _CRC.unpack_from(raw, _FRAME.size)
-        payload = raw[FRAME_BYTES : FRAME_BYTES + length]
-        crc = zlib.crc32(payload, zlib.crc32(raw[: _FRAME.size]))
+        payload = view[FRAME_BYTES : FRAME_BYTES + length]
+        crc = zlib.crc32(payload, zlib.crc32(view[: _FRAME.size]))
         if (
             magic == FRAME_MAGIC
             and stored_gen == expect_gen
@@ -137,89 +151,105 @@ def _open_frame(raw: bytes, path: str, base: int, length: int, gen: int) -> byte
     )
 
 
-#: First byte of a vectorized (raw fixed-width) slot image.  Pickle streams
-#: of protocol >= 2 always start with 0x80, so the two image flavours are
-#: distinguished by their first byte alone.
-_VEC_TAG = b"V"
-_VEC_HLEN = struct.Struct("<I")
+# A fixed-width block image: one header, the dtype descr, the raw bytes.
+# Header fields: tag, dest, src, msg, seq, dummy, record count (bytes for a
+# byte payload), descr length (0 for a byte payload).  Pickle streams of
+# protocol >= 2 always start with 0x80, so the first byte alone tells the
+# two image flavours apart.  The tag is not ``V``, the tag of the
+# version-1 image, so a version-1 image is never parsed as this one.
+_IMG = struct.Struct("<BiiqqBIH")
+_IMG_TAG = ord("W")
+#: Descr bytes a one-slot image reserves room for (``<i8`` needs 3).
+_SHORT_DESCR = 8
+#: Slot sizes are multiples of this many bytes.
+_SLOT_ALIGN = 64
+
+# descr bytes <-> dtype, both ways: a run meets a handful of dtypes, so each
+# descr is built and parsed once rather than per block.
+_DESCRS: dict[np.dtype, bytes] = {}
+_DTYPES: dict[bytes, np.dtype] = {}
 
 
-def _descr_to_dtype(descr):
-    """Rebuild a dtype from its JSON-round-tripped ``descr`` form."""
-    import numpy as np
+def _descr_of(dtype: np.dtype) -> bytes:
+    """The image descr of ``dtype``: its type string, or the JSON of its
+    field list for a structured dtype."""
+    descr = _DESCRS.get(dtype)
+    if descr is None:
+        text = json.dumps(dtype.descr) if dtype.names else dtype.str
+        descr = _DESCRS[dtype] = text.encode("ascii")
+    return descr
 
-    if isinstance(descr, str):
-        return np.dtype(descr)
-    fields = []
-    for f in descr:
-        if len(f) == 3:
-            fields.append((f[0], f[1], tuple(f[2])))
+
+def _dtype_of(descr: bytes) -> np.dtype:
+    """Inverse of :func:`_descr_of`."""
+    dtype = _DTYPES.get(descr)
+    if dtype is None:
+        text = descr.decode("ascii")
+        if text.startswith("["):
+            fields = [
+                (f[0], f[1], tuple(f[2])) if len(f) == 3 else (f[0], f[1])
+                for f in json.loads(text)
+            ]
+            dtype = np.dtype(fields)
         else:
-            fields.append((f[0], f[1]))
-    return np.dtype(fields)
+            dtype = np.dtype(text)
+        _DTYPES[descr] = dtype
+    return dtype
 
 
-def _encode_block(block: "Block") -> bytes:
-    """Serialize one block into a slot image.
+def _encode_block(block: Block) -> tuple[bytes, object, int]:
+    """Serialize one block into a slot image: ``(head, body, nbytes)``.
 
-    ndarray payloads become a tagged raw image — a one-byte tag, a small
-    JSON header (dtype descr, record count, routing metadata) and the
-    array's little-endian bytes — so the vectorized plane's storage path is
-    a memcpy, not a pickle of boxed objects.  Everything else (lists,
-    pickled-context bytes) keeps the historical pickle image byte-for-byte;
-    memoryview payloads are materialized first since pickle refuses them.
+    1-D ndarray payloads (bar object dtypes) and byte payloads become a
+    binary image — the ``_IMG`` header and dtype descr in ``head``, the
+    records' raw little-endian bytes as ``body`` — so the storage path is
+    a memcpy, not a pickle.  Object-mode lists (and anything the header
+    cannot hold) keep the pickle image, in ``head`` with an empty body.
     """
-    import numpy as np
-
     records = block.records
-    if isinstance(records, np.ndarray) and records.ndim == 1:
-        arr = np.ascontiguousarray(records)
-        if arr.dtype.byteorder == ">":  # canonical images are little-endian
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        descr = arr.dtype.descr if arr.dtype.names else arr.dtype.str
-        header = json.dumps(
-            {
-                "d": descr,
-                "n": int(arr.shape[0]),
-                "b": [block.dest, block.src, block.msg, block.seq, int(block.dummy)],
-            },
-            separators=(",", ":"),
-        ).encode("ascii")
-        return _VEC_TAG + _VEC_HLEN.pack(len(header)) + header + arr.tobytes()
-    if isinstance(records, memoryview):
-        from .disk import Block as _Block
+    body = None
+    if isinstance(records, np.ndarray):
+        if records.ndim == 1 and not records.dtype.hasobject:
+            body = np.ascontiguousarray(records)
+            if body.dtype.byteorder == ">":  # canonical images are little-endian
+                body = body.astype(body.dtype.newbyteorder("<"))
+            descr, count, nbytes = _descr_of(body.dtype), body.shape[0], body.nbytes
+    elif isinstance(records, (bytes, memoryview)):
+        body, descr = records, b""
+        count = nbytes = records.nbytes if isinstance(records, memoryview) else len(records)
+    if body is not None:
+        try:
+            head = _IMG.pack(
+                _IMG_TAG, block.dest, block.src, block.msg, block.seq,
+                block.dummy, count, len(descr),
+            ) + descr
+        except struct.error:  # metadata wider than the header's fields
+            pass
+        else:
+            return head, body, len(head) + nbytes
+    if isinstance(records, memoryview):  # pickle refuses memoryviews
+        block = Block(bytes(records), block.dest, block.src, block.msg,
+                      block.seq, block.dummy)
+    head = pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
+    return head, b"", len(head)
 
-        block = _Block(
-            records=bytes(records),
-            dest=block.dest,
-            src=block.src,
-            msg=block.msg,
-            seq=block.seq,
-            dummy=block.dummy,
-        )
-    return pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
 
+def _decode_block(payload: memoryview) -> Block:
+    """Inverse of :func:`_encode_block` (dispatch on the first byte).
 
-def _decode_block(payload: bytes) -> "Block":
-    """Inverse of :func:`_encode_block` (dispatch on the first byte)."""
-    if payload[:1] == _VEC_TAG:
-        import numpy as np
-
-        from .disk import Block as _Block
-
-        (hlen,) = _VEC_HLEN.unpack_from(payload, 1)
-        head = json.loads(payload[1 + _VEC_HLEN.size : 1 + _VEC_HLEN.size + hlen])
-        arr = np.frombuffer(
-            payload,
-            dtype=_descr_to_dtype(head["d"]),
-            count=head["n"],
-            offset=1 + _VEC_HLEN.size + hlen,
-        )
-        dest, src, msg, seq, dummy = head["b"]
-        return _Block(
-            records=arr, dest=dest, src=src, msg=msg, seq=seq, dummy=bool(dummy)
-        )
-    return pickle.loads(payload)
+    Array records are read-only views of ``payload``; byte records are
+    copied out of it.
+    """
+    if payload[0] != _IMG_TAG:
+        return pickle.loads(payload)
+    _tag, dest, src, msg, seq, dummy, count, dlen = _IMG.unpack_from(payload)
+    start = _IMG.size + dlen
+    if dlen:
+        dtype = _dtype_of(payload[_IMG.size : start].tobytes())
+        records = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
+    else:
+        records = payload[start : start + count].tobytes()
+    return Block(records, dest, src, msg, seq, bool(dummy))
 
 
 def _fsync_dir(path: str) -> None:
@@ -330,8 +360,6 @@ class MemoryStorage(_ProfiledStorage):
         return None  # nothing on disk to reference; checkpoints carry the data
 
     def restore(self, snap: dict | None) -> None:
-        from .disk import DiskError
-
         raise DiskError("MemoryStorage holds no on-disk state to restore from")
 
 
@@ -363,21 +391,24 @@ _COALESCE_GAP_SLOTS = 8
 
 
 class FileStorage(_ProfiledStorage):
-    """One preallocated track file per drive; pickled images in slot runs.
+    """One preallocated track file per drive; framed block images in slot runs.
 
     Layout: the file is an array of ``slot_bytes``-sized slots.  A stored
     block occupies a *contiguous run* of slots holding a sealed frame
     (magic, write generation, payload length, CRC32 — see :func:`_seal_frame`)
-    followed by the pickle of the block.  A track map (``track -> (base
-    slot, run length, payload length, generation)``) lives in memory —
-    tracks are sparse (the shadow namespace starts at ``1 << 40``) so
-    positional addressing is impossible.  Freed runs enter a
-    neighbour-coalescing free list and are reused best-fit; runs freed at
-    the file tail shrink the bump pointer.
+    followed by the block's image (see :func:`_encode_block`).  A track map
+    (``track -> (base slot, run length, payload length, generation)``)
+    lives in memory — tracks are sparse (the shadow namespace starts at
+    ``1 << 40``) so positional addressing is impossible.  Freed runs enter
+    a neighbour-coalescing free list and are reused best-fit; runs freed
+    at the file tail shrink the bump pointer.
 
-    ``slot_bytes`` is a power of two sized so one ``B``-record payload fits
-    a single slot with pickling overhead to spare; oversized images simply
-    span several slots, costing exactly one ``pread``/``pwrite`` either way.
+    ``slot_bytes`` defaults to one full fixed-width image — frame, image
+    header, a short dtype descr and ``B`` 8-byte records — rounded up to 64
+    bytes, so a full block of ``B`` int64 records or ``B * 8`` context bytes
+    fills exactly one slot.  Larger images (object-mode pickles, wider
+    dtypes) span a run of slots, costing exactly one ``pread``/``pwrite``
+    either way.
     """
 
     kind = "file"
@@ -388,14 +419,13 @@ class FileStorage(_ProfiledStorage):
         B: int,
         slot_bytes: int | None = None,
     ):
-        from .disk import Block
-
         self.path = os.fspath(path)
         if slot_bytes is None:
-            payload = max(1, B) * Block.BYTES_PER_RECORD
-            slot_bytes = 256
-            while slot_bytes < 2 * payload + FRAME_BYTES + 96:
-                slot_bytes *= 2
+            full = (
+                FRAME_BYTES + _IMG.size + _SHORT_DESCR
+                + max(1, B) * Block.BYTES_PER_RECORD
+            )
+            slot_bytes = -(-full // _SLOT_ALIGN) * _SLOT_ALIGN
         self.slot_bytes = int(slot_bytes)
         creating = not os.path.exists(self.path)
         # O_RDWR|O_CREAT without O_TRUNC: reopening an existing track file
@@ -523,7 +553,7 @@ class FileStorage(_ProfiledStorage):
         the gap padding a coalesced read sweeps over.
         """
         exts: list[tuple[int, int, int, int]] = []  # (base, track, length, gen)
-        raws: dict[int, bytes] = {}
+        raws: dict[int, bytes] = {}  # track -> its frame
         for t in set(tracks):
             ext = self._map.get(t)
             if ext is None:
@@ -547,9 +577,12 @@ class FileStorage(_ProfiledStorage):
                 last_base, _t, last_len, _g = exts[j]
                 span = (last_base - start) * slot_bytes + FRAME_BYTES + last_len
                 raw = self._read_at(start * slot_bytes, span)
-                for base, t, length, _gen in exts[i : j + 1]:
-                    off = (base - start) * slot_bytes
-                    raws[t] = raw[off : off + FRAME_BYTES + length]
+                if i == j:
+                    raws[exts[i][1]] = raw
+                else:
+                    for base, t, length, _gen in exts[i : j + 1]:
+                        off = (base - start) * slot_bytes
+                        raws[t] = raw[off : off + FRAME_BYTES + length]
                 i = j + 1
         finally:
             prof.pop()
@@ -559,9 +592,8 @@ class FileStorage(_ProfiledStorage):
             if ext is None:
                 out.append(None)
                 continue
-            raw = raws[t]
-            payload = _open_frame(raw, self.path, ext[0], ext[2], ext[3])
-            self.read_bytes += len(raw)
+            payload = _open_frame(raws[t], self.path, ext[0], ext[2], ext[3])
+            self.read_bytes += FRAME_BYTES + ext[2]
             prof.push("serialize")
             try:
                 out.append(_decode_block(payload))
@@ -592,19 +624,19 @@ class FileStorage(_ProfiledStorage):
         prof = self.profiler
         prof.push("serialize")
         try:
-            payload = _encode_block(block)
+            head, body, length = _encode_block(block)
         finally:
             prof.pop()
-        need = -(-(FRAME_BYTES + len(payload)) // self.slot_bytes)
+        record = _seal_frame(head, body, length, self._gen)
+        need = -(-len(record) // self.slot_bytes)
         if prev is not None and prev[1] == need and (prev[0], prev[1]) not in self._pinned:
             base = prev[0]  # overwrite in place
         else:
             if prev is not None:
                 self._release(prev[0], prev[1])
             base = self._alloc(need)
-        record = _seal_frame(payload, self._gen)
         self.write_bytes += len(record)
-        self._map[track] = (base, need, len(payload), self._gen)
+        self._map[track] = (base, need, length, self._gen)
         return prev is not None, (base, need, record)
 
     def put(self, track: int, block: "Block | None") -> bool:
@@ -624,10 +656,11 @@ class FileStorage(_ProfiledStorage):
 
         Map and free-list transitions are exactly those of in-order ``put``
         calls; only the data movement is batched.  Gaps between merged
-        frames (intra-run slack past a frame's end) are zero-filled — those
-        bytes belong to the runs being written, so no live or pinned extent
-        is touched.  Duplicate tracks in one batch fall back to plain puts
-        (a later put may free and reuse the earlier one's slots).
+        frames (intra-run slack past a frame's end, under 64 bytes for a
+        full fixed-width block) are zero-filled — those bytes belong to the
+        runs being written, so no live or pinned extent is touched.
+        Duplicate tracks in one batch fall back to plain puts (a later put
+        may free and reuse the earlier one's slots).
         """
         tracks = [t for t, _ in items]
         if len(set(tracks)) != len(tracks):
@@ -640,6 +673,7 @@ class FileStorage(_ProfiledStorage):
             if pending is not None:
                 writes.append(pending)
         writes.sort(key=lambda w: w[0])
+        slot_bytes = self.slot_bytes
         prof = self.profiler
         prof.push("syscall_io")
         try:
@@ -647,17 +681,17 @@ class FileStorage(_ProfiledStorage):
             while i < len(writes):
                 start, need, record = writes[i]
                 end_slot = start + need
-                buf = bytearray(record)
                 j = i + 1
-                while j < len(writes) and writes[j][0] == end_slot:
-                    nbase, nneed, nrecord = writes[j]
-                    pad = (nbase - start) * self.slot_bytes - len(buf)
-                    if pad:
-                        buf += b"\x00" * pad
-                    buf += nrecord
-                    end_slot = nbase + nneed
-                    j += 1
-                self._write_at(start * self.slot_bytes, bytes(buf))
+                if j < len(writes) and writes[j][0] == end_slot:
+                    buf = bytearray(record)
+                    while j < len(writes) and writes[j][0] == end_slot:
+                        nbase, nneed, nrecord = writes[j]
+                        buf += bytes((nbase - start) * slot_bytes - len(buf))
+                        buf += nrecord
+                        end_slot = nbase + nneed
+                        j += 1
+                    record = buf
+                self._write_at(start * slot_bytes, record)
                 i = j
         finally:
             prof.pop()
@@ -721,8 +755,6 @@ class FileStorage(_ProfiledStorage):
         }
 
     def restore(self, snap: dict | None) -> None:
-        from .disk import DiskError
-
         if snap is None:
             raise DiskError(
                 f"storage file {self.path}: checkpoint carries no storage "
@@ -812,9 +844,8 @@ class MmapStorage(FileStorage):
 
 
 def _claim_dir(root: str) -> None:
-    """Create or adopt a storage directory, refusing foreign data."""
-    from .disk import DiskError
-
+    """Create or adopt a storage directory, refusing foreign data and
+    roots written in another track-file format."""
     marker = os.path.join(root, STORAGE_MARKER)
     if os.path.exists(root):
         if not os.path.isdir(root):
@@ -828,9 +859,21 @@ def _claim_dir(root: str) -> None:
             )
     else:
         os.makedirs(root, exist_ok=True)
-    if not os.path.exists(marker):
+    if os.path.exists(marker):
+        try:
+            with open(marker, encoding="utf-8") as fh:
+                version = json.load(fh).get("version")
+        except (OSError, ValueError, AttributeError) as exc:
+            raise DiskError(f"storage_dir {root!r}: unreadable {STORAGE_MARKER}: {exc}")
+        if version != STORAGE_VERSION:
+            raise DiskError(
+                f"storage_dir {root!r} holds track-file format version "
+                f"{version}, but this build reads version {STORAGE_VERSION}; "
+                "point storage_dir at an empty directory"
+            )
+    else:
         with open(marker, "w", encoding="utf-8") as fh:
-            json.dump({"format": "em-storage", "version": 1}, fh)
+            json.dump({"format": "em-storage", "version": STORAGE_VERSION}, fh)
             fh.flush()
             os.fsync(fh.fileno())
         # Make the claim itself durable: the marker's directory entry (and
@@ -872,7 +915,7 @@ def verify_extents(path: str | os.PathLike, snap: dict) -> int:
                 end_slot = extents[j][0] + extents[j][1]
             last_base, _n, last_len, _g = extents[j]
             span = (last_base - start) * slot_bytes + FRAME_BYTES + last_len
-            raw = os.pread(fd, span, start * slot_bytes)
+            raw = memoryview(os.pread(fd, span, start * slot_bytes))
             for base, _nslots, length, gen in extents[i : j + 1]:
                 off = (base - start) * slot_bytes
                 _open_frame(raw[off : off + FRAME_BYTES + length], path, base, length, gen)
@@ -906,8 +949,6 @@ class StorageSpec:
 
     @classmethod
     def create(cls, kind: str = "memory", root: str | os.PathLike | None = None) -> "StorageSpec":
-        from .disk import DiskError
-
         if kind not in STORAGE_KINDS:
             raise DiskError(
                 f"unknown storage kind {kind!r} (expected one of {STORAGE_KINDS})"
@@ -950,8 +991,6 @@ class StorageSpec:
         impl = FileStorage if self.kind == "file" else MmapStorage
         store: BlockStorage = impl(path, B)
         if self.crash is not None:
-            from .faults import CrashyStorage
-
             store = CrashyStorage(store, self.crash, self.proc, disk_id)
         return store
 

@@ -13,6 +13,7 @@ that an engine which *forgets to fsync* before committing is caught by the
 
 import os
 import pickle
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -45,12 +46,14 @@ def make(impl, tmp_path, **kw):
     return impl(tmp_path / f"{impl.__name__}.dat", B=4, **kw)
 
 
-def small_sort(n=64, v=4, data_seed=0):
+def small_sort(n=64, v=4, data_seed=0, records="object"):
     """A fresh tiny sample-sort instance (factory for the explorer)."""
     from repro import workloads as wl
     from repro.algorithms import CGMSampleSort
 
-    return CGMSampleSort(wl.uniform_keys(n, seed=data_seed), v)
+    alg = CGMSampleSort(wl.uniform_keys(n, seed=data_seed), v)
+    alg.set_record_mode(records)
+    return alg
 
 
 def run_sort(tmp_path, name="run", crash=None, p=1, storage="file", **kw):
@@ -433,11 +436,15 @@ class TestEngineCrashWiring:
 
 
 class TestCrashExplorer:
-    def test_sequential_sweep_recovers_every_point(self, tmp_path):
+    @pytest.mark.parametrize("records", ["object", "vector"])
+    def test_sequential_sweep_recovers_every_point(self, tmp_path, records):
+        """Torn and lost writes of both image flavours — object-mode
+        pickles and vector-mode binary images — recover at every point."""
         from repro.crashcheck import explore
 
         machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
-        res = explore(small_sort, machine, 4, tmp_path, log=None)
+        res = explore(partial(small_sort, records=records), machine, 4,
+                      tmp_path, log=None)
         assert res.total_points == len(CRASH_STAGES) * res.checkpoints
         assert len(res.outcomes) == res.total_points
         assert res.passed, [str(o) for o in res.failures]

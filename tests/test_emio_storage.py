@@ -3,19 +3,24 @@
 The golden suite (``test_storage_golden.py``) proves plane equivalence end
 to end; these tests pin the mechanisms that make it work — slot-run
 allocation and neighbour-coalescing frees, copy-on-write pinning around
-snapshots, crash-reattach via snapshot/restore, the storage-dir marker
-protocol — plus the failure modes (corrupt images, mismatched slot sizes,
-foreign directories) that must surface as :class:`DiskError`.
+snapshots, crash-reattach via snapshot/restore, the block-image codec
+and its right-sized slots, the storage-dir marker protocol — plus the
+failure modes (corrupt images, mismatched slot sizes, foreign directories,
+other track-file format versions) that must surface as :class:`DiskError`.
 """
 
+import json
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.emio.disk import Block, DiskError
 from repro.emio.storage import (
+    FRAME_BYTES,
     STORAGE_MARKER,
+    STORAGE_VERSION,
     FileStorage,
     MemoryStorage,
     MmapStorage,
@@ -110,6 +115,83 @@ class TestFilePlaneBasics:
         s.put(1, big)
         assert s._map[1][1] > 1
         assert s.get(1) == big
+        s.close()
+
+
+def same_block(a, b):
+    """Field-wise Block equality (``==`` is ambiguous on ndarray records)."""
+    if isinstance(a.records, np.ndarray) or isinstance(b.records, np.ndarray):
+        assert isinstance(a.records, np.ndarray) and isinstance(b.records, np.ndarray)
+        # Big-endian input comes back in the canonical little-endian order.
+        assert a.records.dtype in (b.records.dtype, b.records.dtype.newbyteorder("<"))
+        assert np.array_equal(a.records, b.records)
+    else:
+        assert a.records == b.records
+    return (a.dest, a.src, a.msg, a.seq, a.dummy) == (
+        b.dest, b.src, b.msg, b.seq, b.dummy
+    )
+
+
+B_FULL = 256
+_KV = np.dtype([("k", "<i8"), ("v", "<i8")])
+_KV_BE = np.dtype([("k", ">i8"), ("v", "<f8")])
+
+#: One block of every image flavour the file planes store.
+FLAVOURS = {
+    "int64": Block(records=np.arange(B_FULL, dtype="<i8"), dest=3, src=1, msg=7, seq=2),
+    "float64": Block(records=np.linspace(-1.0, 1.0, 17), dest=0),
+    "structured": Block(records=np.array([(1, -2), (3, 4)], dtype=_KV), src=5),
+    "structured-big-endian-field": Block(
+        records=np.array([(1, 0.5), (2, -0.0)], dtype=_KV_BE)
+    ),
+    "big-endian": Block(records=np.arange(9, dtype=">i8"), dest=2),
+    "non-contiguous": Block(records=np.arange(40, dtype="<i8")[::3], seq=4),
+    "empty-array": Block(records=np.zeros(0, dtype="<i8"), dest=1),
+    "bytes": Block(records=bytes(range(256)) * 8, src=9),
+    "memoryview": Block(records=memoryview(b"context-bytes" * 5), msg=3),
+    "empty-bytes": Block(records=b""),
+    "object-list": Block(records=[(1, "a"), None, 2.5, "x" * 40], dest=4, src=4),
+    "dummy": Block(records=np.arange(4, dtype="<i8"), dest=6, dummy=True),
+    "dest-minus-one": Block(records=np.arange(3, dtype="<i8"), dest=-1, src=-1),
+    "wide-metadata": Block(records=np.arange(3, dtype="<i8"), msg=1 << 70),
+}
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+class TestImageCodec:
+    @pytest.mark.parametrize("name", sorted(FLAVOURS))
+    def test_round_trip(self, impl, tmp_path, name):
+        s = impl(tmp_path / "codec.dat", B=B_FULL)
+        blk = FLAVOURS[name]
+        s.put(1, blk)
+        s.put_many([(2, blk), (3, blk)])
+        got = [s.get(1), *s.get_many([2, 3])]
+        for g in got:
+            assert g is not blk
+            assert same_block(g, blk)
+        s.close()
+
+    @pytest.mark.parametrize("name", ["int64", "bytes"])
+    def test_full_block_fills_one_slot(self, impl, tmp_path, name):
+        """A full ``B``-record block is one right-sized slot: its frame fits
+        one slot at the default ``slot_bytes``, with under 64 bytes of
+        slack, so neither ``pwrite`` nor ``pread`` moves dead padding."""
+        s = impl(tmp_path / "codec.dat", B=B_FULL)
+        blk = FLAVOURS[name]
+        assert blk.nrecords() == B_FULL
+        s.put(1, blk)
+        _base, nslots, length, _gen = s._map[1]
+        assert nslots == 1
+        assert 0 <= s.slot_bytes - (FRAME_BYTES + length) < 64
+        s.close()
+
+    def test_memos_never_enter_a_pickle(self, impl, tmp_path):
+        s = impl(tmp_path / "codec.dat", B=B_FULL)
+        blk = Block(records=[1, 2, 3], dest=2)
+        blk.validate(B_FULL)  # leaves a ``_vB`` memo on the block
+        assert "_vB" not in vars(pickle.loads(pickle.dumps(blk)))
+        s.put(1, blk)
+        assert "_vB" not in vars(s.get(1))
         s.close()
 
 
@@ -319,6 +401,29 @@ class TestStorageSpec:
             StorageSpec.create("file", root)
         assert str(root) in str(exc_info.value)
         assert (root / "thesis.tex").read_text() == "irreplaceable"
+
+    @pytest.mark.parametrize("version", [1, 3, None])
+    def test_other_format_version_refused(self, tmp_path, version):
+        """A root written in another track-file format is refused at claim
+        time, naming both versions, instead of failing later at restore."""
+        root = tmp_path / "old"
+        root.mkdir()
+        marker = {"format": "em-storage"}
+        if version is not None:
+            marker["version"] = version
+        (root / STORAGE_MARKER).write_text(json.dumps(marker))
+        with pytest.raises(DiskError) as exc_info:
+            StorageSpec.create("file", root)
+        msg = str(exc_info.value)
+        assert f"version {version}" in msg
+        assert f"version {STORAGE_VERSION}" in msg
+
+    def test_marker_records_the_format_version(self, tmp_path):
+        spec = StorageSpec.create("mmap", tmp_path / "new")
+        marker = json.loads((tmp_path / "new" / STORAGE_MARKER).read_text())
+        assert marker == {"format": "em-storage", "version": STORAGE_VERSION}
+        assert STORAGE_VERSION == 2
+        spec.cleanup()
 
     def test_marked_dir_is_reused(self, tmp_path):
         root = tmp_path / "tracks"
